@@ -13,6 +13,9 @@
 //! - [`rollup`] — mergeable aggregates and the raw → 1-min → 1-h
 //!   downsampling cascade (count/sum/min/max + Welford moments, so means
 //!   re-aggregate exactly);
+//! - [`log`] — the append-only shared log ([`Log`]) that holds a series'
+//!   sealed chunks, rollup buckets and quarantine list in frozen
+//!   `Arc` blocks plus a short tail, so clones share history;
 //! - [`series`] — one series: sealed chunks + active chunk + rollups;
 //! - [`store`] — the sharded store, its channel-fed ingest pipeline
 //!   (writers hashed by series id, one thread per shard, poisoned batches
@@ -78,6 +81,7 @@ pub mod bitstream;
 pub mod cache;
 pub mod chunk;
 pub mod faults;
+pub mod log;
 pub mod persist;
 pub mod quality;
 pub mod query;
@@ -88,6 +92,7 @@ pub mod wal;
 
 pub use cache::ChunkCache;
 pub use chunk::{ColumnBlock, Zone};
+pub use log::Log;
 pub use persist::{PersistError, SnapshotStats};
 pub use quality::{
     store_gap_aggregate, store_gap_windows, GapAwareValue, GapWindow, QuarantineReason,

@@ -6,6 +6,8 @@
 //! mean and variance a raw scan would compute — means of means are never
 //! taken.
 
+use crate::log::Log;
+
 /// One-minute rollup resolution in seconds.
 pub const MINUTE: i64 = 60;
 /// One-hour rollup resolution in seconds.
@@ -103,11 +105,12 @@ pub struct Bucket {
 
 /// One downsampling level: sealed buckets plus the bucket currently
 /// filling. Buckets seal when a sample lands past their window, so levels
-/// only ever append.
+/// only ever append — into a shared [`Log`], so a cloned level shares its
+/// sealed history and copies only the log's tail.
 #[derive(Debug, Clone)]
 pub struct RollupLevel {
     resolution: i64,
-    sealed: Vec<Bucket>,
+    sealed: Log<Bucket>,
     open: Option<Bucket>,
 }
 
@@ -118,7 +121,7 @@ impl RollupLevel {
     /// Panics if `resolution <= 0`.
     pub fn new(resolution: i64) -> Self {
         assert!(resolution > 0, "rollup resolution must be positive");
-        RollupLevel { resolution, sealed: Vec::new(), open: None }
+        RollupLevel { resolution, sealed: Log::new(), open: None }
     }
 
     /// Bucket width in seconds.
@@ -134,11 +137,11 @@ impl RollupLevel {
     /// Panics if `resolution <= 0`.
     pub fn from_parts(resolution: i64, sealed: Vec<Bucket>, open: Option<Bucket>) -> Self {
         assert!(resolution > 0, "rollup resolution must be positive");
-        RollupLevel { resolution, sealed, open }
+        RollupLevel { resolution, sealed: sealed.into(), open }
     }
 
     /// Sealed (complete) buckets in time order.
-    pub fn sealed(&self) -> &[Bucket] {
+    pub fn sealed(&self) -> &Log<Bucket> {
         &self.sealed
     }
 
@@ -181,11 +184,15 @@ impl RollupLevel {
     }
 
     /// Buckets (sealed and open) intersecting `[from, to)`, in time order.
+    /// Sealed starts strictly increase, so the sealed ones are one run
+    /// found by binary search: O(log n + k) for `k` buckets in the window,
+    /// and `.count()` is O(log n).
     pub fn buckets_in(&self, from: i64, to: i64) -> impl Iterator<Item = &Bucket> {
+        let lo = self.sealed.partition_point(|b| b.start + self.resolution <= from);
+        let hi = self.sealed.partition_point(|b| b.start < to).max(lo);
         self.sealed
-            .iter()
-            .chain(self.open.iter())
-            .filter(move |b| b.start < to && b.start + self.resolution > from)
+            .range(lo..hi)
+            .chain(self.open.iter().filter(move |b| b.start < to && b.start + self.resolution > from))
     }
 
     /// Whether `[from, to)` is aligned to this level's bucket grid, so

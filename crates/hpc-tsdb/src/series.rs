@@ -2,8 +2,10 @@
 //! one active) with a cascade of rollup levels maintained on ingest.
 
 use crate::chunk::{Chunk, ChunkBuilder, ColumnBlock, Zone};
+use crate::log::Log;
 use crate::quality::QuarantinedSample;
 use crate::rollup::{Aggregate, RollupLevel, HOUR, MINUTE};
+use std::sync::Arc;
 
 /// Samples per chunk before sealing. 512 one-minute samples ≈ 8.5 hours
 /// per chunk, giving scans good locality while bounding the re-decode
@@ -23,10 +25,16 @@ pub struct SeriesMeta {
 }
 
 /// One time series: compressed storage plus raw → 1-min → 1-h rollups.
+///
+/// Sealed chunks, sealed rollup buckets and the quality mask are append-only
+/// [`Log`]s, so a clone (what [`crate::TsdbStore::publish_view`] freezes)
+/// shares all of their history and copies only each log's short tail plus
+/// the active chunk.
 #[derive(Debug, Clone)]
 pub struct Series {
-    meta: SeriesMeta,
-    sealed: Vec<Chunk>,
+    /// Shared, so a clone bumps a refcount instead of copying the strings.
+    meta: Arc<SeriesMeta>,
+    sealed: Log<Chunk>,
     active: ChunkBuilder,
     minutes: RollupLevel,
     hours: RollupLevel,
@@ -36,7 +44,7 @@ pub struct Series {
     /// Never folded into chunks, rollups or `total` — exclusion from every
     /// aggregate is by construction. In-memory diagnostic state; not part
     /// of the snapshot format.
-    quarantined: Vec<QuarantinedSample>,
+    quarantined: Log<QuarantinedSample>,
     /// Monotonic count of mutations (appends, quarantines, compactions).
     /// [`crate::ReadView`] publication compares it against the previous
     /// view's stamp to reuse the frozen `Arc<Series>` of an unchanged
@@ -49,14 +57,14 @@ impl Series {
     /// An empty series.
     pub fn new(meta: SeriesMeta) -> Self {
         Series {
-            meta,
-            sealed: Vec::new(),
+            meta: Arc::new(meta),
+            sealed: Log::new(),
             active: ChunkBuilder::new(),
             minutes: RollupLevel::new(MINUTE),
             hours: RollupLevel::new(HOUR),
             total: Aggregate::new(),
             chunk_samples: CHUNK_SAMPLES,
-            quarantined: Vec::new(),
+            quarantined: Log::new(),
             mutations: 0,
         }
     }
@@ -107,7 +115,7 @@ impl Series {
     }
 
     /// Sealed chunks in time order.
-    pub fn chunks(&self) -> &[Chunk] {
+    pub fn chunks(&self) -> &Log<Chunk> {
         &self.sealed
     }
 
@@ -153,14 +161,14 @@ impl Series {
             active.push(ts, v);
         }
         Series {
-            meta,
-            sealed,
+            meta: Arc::new(meta),
+            sealed: sealed.into(),
             active,
             minutes,
             hours,
             total,
             chunk_samples: CHUNK_SAMPLES,
-            quarantined: Vec::new(),
+            quarantined: Log::new(),
             mutations: 0,
         }
     }
@@ -179,7 +187,7 @@ impl Series {
     }
 
     /// The quality mask: every quarantined sample, in arrival order.
-    pub fn quarantined(&self) -> &[QuarantinedSample] {
+    pub fn quarantined(&self) -> &Log<QuarantinedSample> {
         &self.quarantined
     }
 
@@ -317,6 +325,8 @@ impl Series {
     /// pre-compaction series while touching far fewer chunk headers, and
     /// zone-covered windows skip decode entirely. Already-compacted
     /// chunks are left alone. The active chunk and rollups are untouched.
+    /// The rewritten chunk list is a fresh [`Log`], sharing no blocks with
+    /// views published before the pass.
     pub fn compact(&mut self, target_samples: u32) -> u32 {
         let mut out: Vec<Chunk> = Vec::with_capacity(self.sealed.len());
         let mut run: Vec<Chunk> = Vec::new();
@@ -344,7 +354,7 @@ impl Series {
             out.push(b.seal().with_zones(zones));
         }
 
-        for chunk in self.sealed.drain(..) {
+        for chunk in std::mem::take(&mut self.sealed).iter().cloned() {
             let fits = run_samples.saturating_add(chunk.len()) <= target_samples;
             if chunk.zones().is_some() || chunk.len() > target_samples {
                 // Already compacted (or oversized): ends any open run and
@@ -362,7 +372,7 @@ impl Series {
             }
         }
         flush(&mut run, &mut out, &mut rewritten);
-        self.sealed = out;
+        self.sealed = out.into();
         if rewritten > 0 {
             self.mutations += 1;
         }

@@ -102,13 +102,14 @@ struct ViewEntry {
 
 /// An immutable, epoch-stamped snapshot of every series in the store.
 ///
-/// A view is *published*: built under short per-shard read locks once
-/// ([`TsdbStore::publish_view`]), then handed to readers as a shared
-/// `Arc`. Query evaluation against a view touches no shard lock at all —
-/// sealed chunks inside the frozen series are the same refcounted byte
-/// blocks the writer holds (cloning a [`Series`] bumps `Bytes` refcounts,
-/// it does not copy chunk payloads), and the active tail / rollup state
-/// are plain copies taken at publication.
+/// A view is *published* once ([`TsdbStore::publish_view`]), then handed
+/// to readers as a shared `Arc`. Query evaluation against a view touches
+/// no shard lock at all. A frozen series shares its history with the live
+/// one: sealed chunks, sealed rollup buckets and the quality mask sit in
+/// [`crate::Log`] blocks that both hold by refcount, and chunk payloads are
+/// refcounted `Bytes`. Only each log's short tail, the open rollup buckets
+/// and the active chunk are copied at publication, so the writer appending
+/// afterwards never changes what a published view answers.
 ///
 /// Freshness is by generation: the store bumps a monotonic counter on
 /// every mutation, and a view answers for reads only while its stamped
@@ -210,9 +211,14 @@ impl TsdbStore {
     /// Publish an immutable [`ReadView`] of every series, stamped with the
     /// generation read *before* the shards are walked (so the stamp is
     /// conservative — see [`ReadView`]). Series unchanged since the last
-    /// publication are re-shared, not re-cloned. Costs one short read lock
-    /// per shard; meant for epoch boundaries (a campaign serve step, the
-    /// end of a compaction pass), not for per-sample ingest paths.
+    /// publication are re-shared, not re-cloned; a changed series is cloned,
+    /// which bumps one refcount per [`crate::Log`] (its shared block list)
+    /// and copies each log's tail (under [`crate::log::BLOCK_LEN`]
+    /// elements), the open rollup buckets and the active chunk. The cost is
+    /// O(series + data appended since the last full block), not
+    /// O(history), and so is each shard's read lock that the writer waits
+    /// behind. Meant for epoch boundaries (a campaign serve step, the end
+    /// of a compaction pass), not for per-sample ingest paths.
     pub fn publish_view(&self) -> Arc<ReadView> {
         let generation = self.generation();
         let old = self.view.read().clone();
@@ -957,6 +963,46 @@ mod tests {
             "mutated series must be freshly frozen"
         );
         assert_eq!(v2.get(a).unwrap().len(), 2);
+    }
+
+    /// Every frozen block of `before` is the same allocation in `after`,
+    /// and `after` froze at most one block more.
+    fn assert_shares_blocks<T>(what: &str, before: &crate::Log<T>, after: &crate::Log<T>) {
+        assert!(before.blocks().len() >= 2, "{what}: test needs several blocks of history");
+        assert!(after.blocks().len() - before.blocks().len() <= 1, "{what}");
+        for (i, (a, b)) in before.blocks().iter().zip(after.blocks()).enumerate() {
+            assert!(Arc::ptr_eq(a, b), "{what}: block {i} was copied, not shared");
+        }
+    }
+
+    #[test]
+    fn republish_shares_history() {
+        use crate::log::BLOCK_LEN;
+        use crate::quality::QuarantineReason;
+        let store = TsdbStore::default();
+        let id = store.register(meta("node.0"));
+        // Enough minutely samples for two blocks of sealed chunks (and so
+        // many blocks of minute and hour buckets), plus several blocks of
+        // quarantined samples.
+        let n = 2 * BLOCK_LEN as i64 * i64::from(crate::series::CHUNK_SAMPLES) + 100;
+        let samples: Vec<(i64, f64)> = (0..n).map(|i| (i * 60, (i % 97) as f64)).collect();
+        store.append_batch(id, &samples);
+        for i in 0..3 * BLOCK_LEN as i64 {
+            store.quarantine(id, i * 60 + 1, -1.0, QuarantineReason::OutOfRange);
+        }
+        let v1 = store.publish_view();
+        assert_eq!(store.append_tick(n * 60, &[(id, 1.0)]), 0);
+        let v2 = store.publish_view();
+        let (a, b) = (v1.get(id).unwrap(), v2.get(id).unwrap());
+        assert!(!Arc::ptr_eq(a, b), "the appended tick must republish the series");
+        assert_shares_blocks("chunks", a.chunks(), b.chunks());
+        assert_shares_blocks("minutes", a.minutes().sealed(), b.minutes().sealed());
+        assert_shares_blocks("hours", a.hours().sealed(), b.hours().sealed());
+        assert_shares_blocks("quarantined", a.quarantined(), b.quarantined());
+        // The live series shares the same blocks too, and the retired view
+        // still answers for its own instant.
+        store.with_series(id, |live| assert_shares_blocks("live chunks", b.chunks(), live.chunks()));
+        assert_eq!(a.len() + 1, b.len());
     }
 
     #[test]

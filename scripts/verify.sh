@@ -15,6 +15,11 @@ cargo build --release --offline --workspace
 echo "== cargo test -q =="
 cargo test -q --offline --workspace
 
+echo "== benchmark crate (perfbench) against the current API =="
+# perfbench is a workspace of its own, so the workspace build above does
+# not compile it; a public-API change it depends on must fail here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

@@ -2,12 +2,15 @@
 //! cascade: the Gorilla round trip must be bit-exact for *every* `f64`
 //! pattern (NaN payloads, signed zeros, subnormals, infinities) at any
 //! timestamp spacing, and rollup-planned aggregates must agree with raw
-//! chunk scans on any aligned window.
+//! chunk scans on any aligned window. Published read views must answer
+//! exactly what the live store answers, and keep answering it after the
+//! writer moves on.
 
 use archer2_repro::tsdb::query::{aligned_windows, window_aggregate, AggOp};
 use archer2_repro::tsdb::{
-    fanout_aggregate, store_aggregate, store_gap_aggregate, store_gap_windows, Aggregate,
-    SampleFate, SanitizeConfig, Sanitizer, Series, SeriesMeta, TsdbStore,
+    aggregate, fanout_aggregate, store_aggregate, store_gap_aggregate, store_gap_windows,
+    Aggregate, Plan, QuarantineReason, QuarantinedSample, ReadView, SampleFate, SanitizeConfig,
+    Sanitizer, Series, SeriesMeta, StoreConfig, TsdbStore,
 };
 use proptest::prelude::*;
 
@@ -527,6 +530,106 @@ proptest! {
             prop_assert!((w.coverage - g.coverage).abs() < 1e-12);
             if w.count > 0 {
                 prop_assert!((w.mean - g.mean()).abs() < 1e-9);
+            }
+        }
+    }
+}
+
+/// Everything a reader can ask one series, reduced to comparable bits:
+/// the full row scan, raw aggregates over fixed windows, rollup-planned
+/// means (hour-, minute- and un-aligned windows), and the quality mask.
+#[derive(Debug, PartialEq)]
+struct SeriesAnswers {
+    rows: Vec<(i64, u64)>,
+    raw: Vec<(u64, u64, u64, u64, u64, u64)>,
+    planned: Vec<(u64, Plan)>,
+    quarantined: Vec<QuarantinedSample>,
+}
+
+fn series_answers(s: &Series) -> SeriesAnswers {
+    const RAW: [(i64, i64); 4] =
+        [(i64::MIN, i64::MAX), (0, 3_600), (1_234, 567_890), (86_400, 10 * 86_400)];
+    const PLANNED: [(i64, i64); 4] =
+        [(0, 86_400), (3 * 3_600, 40 * 3_600), (60, 6_000), (30, 5_000)];
+    let canon = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+    SeriesAnswers {
+        rows: s.scan(i64::MIN, i64::MAX).into_iter().map(|(t, v)| (t, v.to_bits())).collect(),
+        raw: RAW.iter().map(|&(f, t)| agg_bits(&s.scan_aggregate(f, t))).collect(),
+        planned: PLANNED
+            .iter()
+            .map(|&(f, t)| {
+                let (v, plan) = aggregate(s, f, t, AggOp::Mean);
+                (canon(v), plan)
+            })
+            .collect(),
+        quarantined: s.quarantined().to_vec(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn published_views_share_history_and_never_change(
+        ops in proptest::collection::vec(
+            (0u8..10, 1usize..1_500, 1i64..1_000, -5000.0f64..5000.0),
+            1..24,
+        ),
+    ) {
+        // Random interleavings of ticks, quarantines, compactions and
+        // publications. After every step the view-or-lock read path must
+        // answer exactly what the lock path answers, and every view kept
+        // from an earlier step must still answer what it answered when it
+        // was published: frozen series share their history blocks with the
+        // live ones, so a retired view changing would mean a shared block
+        // was written through.
+        //
+        // One shard keeps each tick off the fork-join path, so long
+        // histories (several blocks of chunks) stay cheap to build.
+        let store = TsdbStore::new(StoreConfig { shards: 1, ..StoreConfig::default() });
+        let ids = [
+            store.register(meta()),
+            store.register(SeriesMeta { name: "prop.b".into(), ..meta() }),
+        ];
+        let mut ts = 0i64;
+        let mut views: Vec<(std::sync::Arc<ReadView>, Vec<SeriesAnswers>)> = Vec::new();
+        for &(kind, k, dt, v) in &ops {
+            match kind {
+                0..=4 => {
+                    // Kind 0 is a long run, so histories reach several
+                    // blocks of sealed chunks, not only of rollup buckets.
+                    let ticks = if kind == 0 { 16 * k } else { k };
+                    for j in 0..ticks {
+                        ts += dt;
+                        let x = v + j as f64;
+                        prop_assert_eq!(store.append_tick(ts, &[(ids[0], x), (ids[1], -x)]), 0);
+                    }
+                }
+                5 | 6 => {
+                    for j in 0..(k % 150) {
+                        store.quarantine(ids[j % 2], ts - j as i64, v, QuarantineReason::OutOfRange);
+                    }
+                }
+                7 => {
+                    store.compact_with(1_024);
+                }
+                _ => {
+                    let view = store.publish_view();
+                    let answers = ids
+                        .iter()
+                        .map(|&id| series_answers(view.get(id).expect("registered")))
+                        .collect();
+                    views.push((view, answers));
+                }
+            }
+            for &id in &ids {
+                let live = store.with_series(id, series_answers).unwrap();
+                prop_assert_eq!(&store.with_series_read(id, series_answers).unwrap(), &live);
+            }
+            for (view, answers) in &views {
+                for (&id, then) in ids.iter().zip(answers) {
+                    prop_assert_eq!(&series_answers(view.get(id).unwrap()), then);
+                }
             }
         }
     }
