@@ -775,8 +775,8 @@ impl FacilityWorld {
 
     /// Sample every node's power into the compressed store (kW): one
     /// branch-light linear scan over the SoA state arrays, then a single
-    /// batched multi-series append (one lock per store shard, shards fanned
-    /// out over rayon) instead of 5,860 one-sample appends.
+    /// batched multi-series append (one lock per store shard, applied on
+    /// this thread) instead of 5,860 one-sample appends.
     fn sample_nodes(&mut self, ts: i64) {
         let per_idle_w = self.per_idle_node_w();
         let mut batch = std::mem::take(&mut self.node_sample_buf);

@@ -658,11 +658,12 @@ pub fn store_segment_means(
 // ---------------------------------------------------------------------------
 
 /// Number of worker threads the fan-out entry points will actually use
-/// for a fan-out over `n` series: the rayon pool size clamped to the
-/// fan-out width. Benchmarks comparing sequential vs fan-out should
-/// record *this*, not the raw pool size — a 4-series fan-out on a
-/// 64-thread pool runs 4 workers, and any fan-out on a single-core host
-/// runs 1 (sequentially), which makes a speedup comparison meaningless.
+/// for a fan-out over `n` series: `rayon::current_num_threads()` (the
+/// host's available parallelism) clamped to the fan-out width. Benchmarks
+/// comparing sequential vs fan-out should record *this*, not the raw
+/// thread count — a 4-series fan-out on a 64-core host runs 4 workers,
+/// and any fan-out on a single-core host runs 1 (sequentially), which
+/// makes a speedup comparison meaningless.
 pub fn fanout_workers(n: usize) -> usize {
     if n == 0 {
         0
@@ -671,7 +672,8 @@ pub fn fanout_workers(n: usize) -> usize {
     }
 }
 
-/// Evaluate `f` for every id, in parallel across rayon worker threads, and
+/// Evaluate `f` for every id, in parallel across [`fanout_workers`] scoped
+/// threads (each started for this call and joined before it returns), and
 /// return results in input order. Ids are distributed in contiguous blocks
 /// so adjacent series (which usually live on the same store shard and share
 /// cache locality) stay on one worker.

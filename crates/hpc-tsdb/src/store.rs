@@ -446,8 +446,8 @@ impl TsdbStore {
     /// Append one tick's worth of samples across many series — one
     /// `(id, value)` pair per series, all stamped `ts`. This is the shape
     /// of a per-node telemetry tick (thousands of series, one sample
-    /// each): samples are grouped by shard, each shard's write lock is
-    /// taken **once**, and the shards are fanned out over rayon.
+    /// each): samples are grouped by shard and applied on the calling
+    /// thread, taking each shard's write lock once, in shard order.
     ///
     /// Returns the number of samples refused (unknown series, or `ts` not
     /// strictly after that series' stored tail). Refusals are per-sample:
@@ -456,11 +456,11 @@ impl TsdbStore {
         self.append_multi_impl(samples.iter().map(|&(id, v)| (id, ts, v)), samples.len())
     }
 
-    /// Append samples spanning many series under one lock acquisition per
-    /// shard, fanning the shards out over rayon. Samples for one series
-    /// must appear in (strictly increasing) timestamp order within the
-    /// slice; per-series order is preserved because a series maps to
-    /// exactly one shard bucket, which is appended sequentially.
+    /// Append samples spanning many series on the calling thread, under
+    /// one lock acquisition per shard. Samples for one series must appear
+    /// in (strictly increasing) timestamp order within the slice;
+    /// per-series order is preserved because a series maps to exactly one
+    /// shard bucket, which is appended in input order.
     ///
     /// Returns the number of refused samples (unknown series,
     /// non-monotonic timestamps). See [`Self::append_tick`] for the
@@ -487,41 +487,21 @@ impl TsdbStore {
             buckets[(id.0 % n_shards as u64) as usize].push((id.0, ts, v));
             total += 1;
         }
-        let occupied = buckets.iter().filter(|b| !b.is_empty()).count();
-        let rejected = AtomicU64::new(0);
-        let apply = |shard_idx: usize, bucket: &[(u64, i64, f64)]| {
+        let mut rejected = 0u64;
+        for (shard_idx, bucket) in buckets.iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
             let mut shard = self.shards[shard_idx].write();
-            let mut bad = 0u64;
             for &(id, ts, v) in bucket {
                 match shard.series.get_mut(&id) {
                     Some(series) if series.last_ts().is_none_or(|l| ts > l) => {
                         series.append(ts, v);
                     }
-                    _ => bad += 1,
+                    _ => rejected += 1,
                 }
             }
-            if bad > 0 {
-                rejected.fetch_add(bad, Ordering::Relaxed);
-            }
-        };
-        if occupied <= 1 {
-            // One shard touched (or nothing to do): skip the fork-join.
-            for (shard_idx, bucket) in buckets.iter().enumerate() {
-                if !bucket.is_empty() {
-                    apply(shard_idx, bucket);
-                }
-            }
-        } else {
-            let apply = &apply;
-            rayon::scope(|s| {
-                for (shard_idx, bucket) in buckets.iter().enumerate() {
-                    if !bucket.is_empty() {
-                        s.spawn(move |_| apply(shard_idx, bucket));
-                    }
-                }
-            });
         }
-        let rejected = rejected.load(Ordering::Relaxed);
         if total > rejected {
             // One epoch bump per tick/batch call, not per sample — any
             // sample landing invalidates views and result caches.
@@ -894,6 +874,67 @@ mod tests {
             store.with_series(b, |s| s.scan(i64::MIN, i64::MAX)).unwrap(),
             vec![(60, 2.0), (120, 4.0)]
         );
+    }
+
+    #[test]
+    fn append_tick_on_every_shard_matches_per_series_appends() {
+        // The default store has 8 shards; 43 series put 5-6 on each.
+        let tick = TsdbStore::default();
+        let reference = TsdbStore::default();
+        assert_eq!(tick.config.shards, 8);
+        let ids: Vec<SeriesId> = (0..43).map(|i| tick.register(meta(&format!("n{i}")))).collect();
+        for i in 0..43 {
+            reference.register(meta(&format!("n{i}")));
+        }
+        let batch = |tick_no: i64| -> Vec<(SeriesId, f64)> {
+            ids.iter().map(|&id| (id, id.0 as f64 + 0.25 * tick_no as f64)).collect()
+        };
+        assert_eq!(tick.append_tick(60, &batch(1)), 0);
+        // Push one series on each of shards 2, 3 and 4 past the next tick,
+        // so its sample for that tick is stale.
+        let stale: Vec<SeriesId> =
+            ids.iter().copied().filter(|id| (2..=4).contains(&(id.0 % 8))).take(3).collect();
+        let stale_shards: Vec<u64> = stale.iter().map(|id| id.0 % 8).collect();
+        assert_eq!(stale_shards, vec![2, 3, 4]);
+        for &id in &stale {
+            tick.append(id, 600, -1.0);
+        }
+        // Two unknown ids, on shards 0 and 1, ride the same tick.
+        let mut next = batch(2);
+        next.insert(7, (SeriesId(1000), 5.0));
+        next.push((SeriesId(1001), 6.0));
+        assert_eq!(SeriesId(1000).0 % 8, 0);
+        assert_eq!(SeriesId(1001).0 % 8, 1);
+        let g = tick.generation();
+        assert_eq!(tick.append_tick(120, &next), 5, "3 stale + 2 unknown");
+        assert_eq!(tick.generation(), g + 1, "one bump per call");
+
+        for (id, v) in batch(1) {
+            reference.append(id, 60, v);
+        }
+        for &id in &stale {
+            reference.append(id, 600, -1.0);
+        }
+        for (id, v) in batch(2) {
+            if !stale.contains(&id) {
+                reference.append(id, 120, v);
+            }
+        }
+        assert_eq!(tick.total_samples(), reference.total_samples());
+        for &id in &ids {
+            let got = tick.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
+            let want = reference.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
+            assert_eq!(got, want, "series {id:?}");
+        }
+
+        // Every sample refused (stale everywhere, plus the unknown ids):
+        // nothing landed, so the generation must not move.
+        let g = tick.generation();
+        let mut refused = batch(3);
+        refused.push((SeriesId(1000), 7.0));
+        assert_eq!(tick.append_tick(120, &refused), 44);
+        assert_eq!(tick.generation(), g, "fully refused tick");
+        assert_eq!(tick.total_samples(), reference.total_samples());
     }
 
     #[test]
