@@ -443,7 +443,8 @@ pub struct WireQueryStats {
     pub queries: u64,
     /// Windows served from 1-hour rollups.
     pub plans_hour: u64,
-    /// Windows served from 1-minute rollups.
+    /// Always 0: mirrors [`hpc_tsdb::QueryStats::plans_minute`], kept for
+    /// wire compatibility after the 1-minute rollup level was removed.
     pub plans_minute: u64,
     /// Windows served by raw chunk scans.
     pub plans_raw: u64,
@@ -589,8 +590,7 @@ pub enum Response {
     Aggregate {
         /// The value as IEEE-754 bits.
         value_bits: u64,
-        /// Which plan served it (`"HourRollup"`, `"MinuteRollup"`,
-        /// `"RawScan"`).
+        /// Which plan served it (`"HourRollup"` or `"RawScan"`).
         plan: String,
     },
     /// Reply to `Windows`.

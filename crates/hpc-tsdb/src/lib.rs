@@ -10,13 +10,13 @@
 //!   XOR-encoded values, lossless for every `f64` bit pattern; decoding
 //!   yields columnar blocks ([`ColumnBlock`]) and compacted chunks carry
 //!   block-level zone maps ([`Zone`]);
-//! - [`rollup`] — mergeable aggregates and the raw → 1-min → 1-h
-//!   downsampling cascade (count/sum/min/max + Welford moments, so means
-//!   re-aggregate exactly);
+//! - [`rollup`] — mergeable aggregates and the 1-hour downsampling level
+//!   every raw sample folds into (count/sum/min/max + Welford moments, so
+//!   means re-aggregate exactly);
 //! - [`log`] — the append-only shared log ([`Log`]) that holds a series'
 //!   sealed chunks, rollup buckets and quarantine list in frozen
 //!   `Arc` blocks plus a short tail, so clones share history;
-//! - [`series`] — one series: sealed chunks + active chunk + rollups;
+//! - [`series`] — one series: sealed chunks + active chunk + hour rollup;
 //! - [`store`] — the sharded store, its channel-fed ingest pipeline
 //!   (writers hashed by series id, one thread per shard, poisoned batches
 //!   rejected without killing the writer), and the on-demand compaction

@@ -6,7 +6,7 @@
 //! `[tag u8][len u32][payload][crc32 u32]` with the CRC covering tag, length
 //! and payload. The first block is a header (format version, series count),
 //! then one block per series (metadata, sealed Gorilla chunks **verbatim**
-//! with their zone maps when present, rollup state, and the active tail as
+//! with their zone maps when present, hour-rollup state, and the active tail as
 //! raw samples), and finally a footer
 //! block whose presence proves the file was written to completion. Any
 //! truncation or bit error is caught by a frame CRC or the missing footer
@@ -37,7 +37,7 @@
 //! ```
 
 use crate::chunk::{Chunk, Zone};
-use crate::rollup::{Aggregate, Bucket, RollupLevel, HOUR, MINUTE};
+use crate::rollup::{Aggregate, Bucket, RollupLevel, HOUR};
 use crate::series::{Series, SeriesMeta};
 use crate::store::{SeriesId, StoreConfig, TsdbStore};
 use bytes::Bytes;
@@ -47,19 +47,15 @@ use std::path::Path;
 
 /// Magic prefix of a snapshot file: `HTSDBSN` + format generation byte.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"HTSDBSN\x01";
-/// Current snapshot format version, written in the header block.
+/// Snapshot format version, written in the header block. Readers accept
+/// this version only.
 ///
 /// Version history:
-/// - `1` — series metadata, sealed chunks, rollups, active tail;
-/// - `2` — appends a zone-map section to every sealed chunk (zone count,
-///   then per-zone time bounds and pre-computed [`Aggregate`]), so
-///   compacted chunks recover with their pruning structure intact.
-///   Version-1 snapshots remain readable; their chunks simply recover
-///   zone-less.
-pub const SNAPSHOT_VERSION: u16 = 2;
-
-/// Oldest snapshot format version this reader still accepts.
-pub const SNAPSHOT_MIN_VERSION: u16 = 1;
+/// - `1` — series metadata, sealed chunks, minute and hour rollups, active
+///   tail;
+/// - `2` — appends a zone-map section to every sealed chunk;
+/// - `3` — drops the 1-minute rollup level; one hour level remains.
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Block tags (see `docs/TSDB_FORMAT.md`).
 const TAG_HEADER: u8 = 0x01;
@@ -371,7 +367,7 @@ fn read_exact_at(r: &mut impl Read, buf: &mut [u8], block_start: u64) -> Result<
 // Snapshot write.
 // ---------------------------------------------------------------------------
 
-fn series_payload(id: SeriesId, series: &Series, version: u16) -> Vec<u8> {
+fn series_payload(id: SeriesId, series: &Series) -> Vec<u8> {
     let mut p = Vec::with_capacity(64 + series.size_bytes());
     put_u64(&mut p, id.0);
     put_str(&mut p, &series.meta().name);
@@ -387,17 +383,14 @@ fn series_payload(id: SeriesId, series: &Series, version: u16) -> Vec<u8> {
         put_u32(&mut p, chunk.data().len() as u32);
         p.extend_from_slice(chunk.data());
         put_aggregate(&mut p, chunk.aggregate());
-        if version >= 2 {
-            let zones = chunk.zones().unwrap_or(&[]);
-            put_u32(&mut p, zones.len() as u32);
-            for z in zones {
-                put_i64(&mut p, z.first_ts);
-                put_i64(&mut p, z.last_ts);
-                put_aggregate(&mut p, &z.agg);
-            }
+        let zones = chunk.zones().unwrap_or(&[]);
+        put_u32(&mut p, zones.len() as u32);
+        for z in zones {
+            put_i64(&mut p, z.first_ts);
+            put_i64(&mut p, z.last_ts);
+            put_aggregate(&mut p, &z.agg);
         }
     }
-    put_rollup(&mut p, series.minutes());
     put_rollup(&mut p, series.hours());
     let tail = series.active_tail();
     put_u32(&mut p, tail.len() as u32);
@@ -408,7 +401,7 @@ fn series_payload(id: SeriesId, series: &Series, version: u16) -> Vec<u8> {
     p
 }
 
-fn read_series_payload(payload: &[u8], version: u16) -> Result<(SeriesId, Series), PersistError> {
+fn read_series_payload(payload: &[u8]) -> Result<(SeriesId, Series), PersistError> {
     let mut c = Cursor::new(payload);
     let id = SeriesId(c.u64("series.id")?);
     let name = c.str_("series.name")?;
@@ -432,41 +425,38 @@ fn read_series_payload(payload: &[u8], version: u16) -> Result<(SeriesId, Series
         let agg = read_aggregate(&mut c)?;
         let mut chunk =
             Chunk::from_parts(Bytes::from(data), len_bits, count, first_ts, last_ts, agg);
-        if version >= 2 {
-            let n_zones = c.u32("chunk.zone_count")? as usize;
-            if n_zones > 0 {
-                let mut zones = Vec::with_capacity(n_zones.min(1 << 20));
-                let mut covered = 0u64;
-                let mut prev_last = i64::MIN;
-                for _ in 0..n_zones {
-                    let z_first = c.i64("zone.first_ts")?;
-                    let z_last = c.i64("zone.last_ts")?;
-                    let z_agg = read_aggregate(&mut c)?;
-                    if z_first > z_last || z_first < first_ts || z_last > last_ts {
-                        return Err(PersistError::Malformed(format!(
-                            "zone [{z_first}, {z_last}] outside chunk [{first_ts}, {last_ts}]"
-                        )));
-                    }
-                    if z_first <= prev_last {
-                        return Err(PersistError::Malformed(format!(
-                            "zones overlap or regress at ts {z_first}"
-                        )));
-                    }
-                    prev_last = z_last;
-                    covered += z_agg.count;
-                    zones.push(Zone { first_ts: z_first, last_ts: z_last, agg: z_agg });
-                }
-                if covered != u64::from(count) {
+        let n_zones = c.u32("chunk.zone_count")? as usize;
+        if n_zones > 0 {
+            let mut zones = Vec::with_capacity(n_zones.min(1 << 20));
+            let mut covered = 0u64;
+            let mut prev_last = i64::MIN;
+            for _ in 0..n_zones {
+                let z_first = c.i64("zone.first_ts")?;
+                let z_last = c.i64("zone.last_ts")?;
+                let z_agg = read_aggregate(&mut c)?;
+                if z_first > z_last || z_first < first_ts || z_last > last_ts {
                     return Err(PersistError::Malformed(format!(
-                        "zone sample counts sum to {covered}, chunk holds {count}"
+                        "zone [{z_first}, {z_last}] outside chunk [{first_ts}, {last_ts}]"
                     )));
                 }
-                chunk = chunk.with_zones(zones);
+                if z_first <= prev_last {
+                    return Err(PersistError::Malformed(format!(
+                        "zones overlap or regress at ts {z_first}"
+                    )));
+                }
+                prev_last = z_last;
+                covered += z_agg.count;
+                zones.push(Zone { first_ts: z_first, last_ts: z_last, agg: z_agg });
             }
+            if covered != u64::from(count) {
+                return Err(PersistError::Malformed(format!(
+                    "zone sample counts sum to {covered}, chunk holds {count}"
+                )));
+            }
+            chunk = chunk.with_zones(zones);
         }
         sealed.push(chunk);
     }
-    let minutes = read_rollup(&mut c, MINUTE)?;
     let hours = read_rollup(&mut c, HOUR)?;
     let tail_n = c.u32("series.tail_count")? as usize;
     let mut tail = Vec::with_capacity(tail_n.min(1 << 20));
@@ -486,7 +476,7 @@ fn read_series_payload(payload: &[u8], version: u16) -> Result<(SeriesId, Series
         return Err(PersistError::Malformed("trailing bytes in series block".into()));
     }
     let meta = SeriesMeta { name, unit, interval_hint };
-    Ok((id, Series::from_parts(meta, sealed, &tail, minutes, hours, total)))
+    Ok((id, Series::from_parts(meta, sealed, &tail, hours, total)))
 }
 
 impl TsdbStore {
@@ -498,27 +488,13 @@ impl TsdbStore {
     /// consistent point-in-time image, quiesce writers first (the campaign
     /// checkpoints between simulation runs, the pipeline after `close()`).
     pub fn snapshot_to(&self, w: &mut impl Write) -> Result<SnapshotStats, PersistError> {
-        self.snapshot_to_versioned(w, SNAPSHOT_VERSION)
-    }
-
-    /// [`Self::snapshot_to`] at an explicit (older) format version — kept
-    /// for compatibility tests; version-1 images drop zone maps.
-    pub(crate) fn snapshot_to_versioned(
-        &self,
-        w: &mut impl Write,
-        version: u16,
-    ) -> Result<SnapshotStats, PersistError> {
-        assert!(
-            (SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version),
-            "unwritable snapshot version {version}"
-        );
         let entries = self.series_entries();
         let mut stats = SnapshotStats { series: entries.len() as u64, ..Default::default() };
         w.write_all(&SNAPSHOT_MAGIC)?;
         stats.bytes += SNAPSHOT_MAGIC.len() as u64;
 
         let mut header = Vec::with_capacity(32);
-        header.extend_from_slice(&version.to_le_bytes());
+        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         put_u64(&mut header, entries.len() as u64);
         put_u64(&mut header, self.next_series_id());
         stats.bytes += write_block(w, TAG_HEADER, &header)?;
@@ -527,7 +503,7 @@ impl TsdbStore {
             let payload = self
                 .with_series(*id, |s| {
                     stats.samples += s.len();
-                    series_payload(*id, s, version)
+                    series_payload(*id, s)
                 })
                 .ok_or_else(|| {
                     PersistError::Malformed(format!("registered series {id:?} missing"))
@@ -575,7 +551,7 @@ impl TsdbStore {
         }
         let mut c = Cursor::new(&header);
         let version = u16::from_le_bytes(c.take(2, "header.version")?.try_into().expect("2 bytes"));
-        if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+        if version != SNAPSHOT_VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         let declared_series = c.u64("header.series_count")?;
@@ -588,7 +564,7 @@ impl TsdbStore {
             let (tag, payload) = read_block(r, &mut offset)?;
             match tag {
                 TAG_SERIES => {
-                    let (id, series) = read_series_payload(&payload, version)?;
+                    let (id, series) = read_series_payload(&payload)?;
                     seen_samples += series.len();
                     let name = series.meta().name.clone();
                     if !store.install_recovered(id, series) {
@@ -685,14 +661,16 @@ mod tests {
                 assert_eq!(t0, t1);
                 assert_eq!(v0.to_bits(), v1.to_bits());
             }
-            // Rollup state survives too.
-            let (m0, h0) = store
-                .with_series(id, |s| (s.minutes().sealed().len(), s.hours().sealed().len()))
-                .unwrap();
-            let (m1, h1) = back
-                .with_series(rid, |s| (s.minutes().sealed().len(), s.hours().sealed().len()))
-                .unwrap();
-            assert_eq!((m0, h0), (m1, h1));
+            // Rollup state survives too: sealed and open hour buckets.
+            let hours = |s: &Series| {
+                let bits = |b: &Bucket| (b.start, b.agg.count, b.agg.m2.to_bits());
+                let sealed: Vec<_> = s.hours().sealed().iter().map(bits).collect();
+                (sealed, s.hours().open().map(bits))
+            };
+            let (sealed0, open0) = store.with_series(id, hours).unwrap();
+            let (sealed1, open1) = back.with_series(rid, hours).unwrap();
+            assert!(!sealed0.is_empty() && open0.is_some());
+            assert_eq!((sealed0, open0), (sealed1, open1));
         }
         // New appends continue seamlessly after the recovered tail.
         let id = back.lookup("facility").unwrap();
@@ -753,26 +731,25 @@ mod tests {
             TsdbStore::open_snapshot(&mut &wrong_magic[..], StoreConfig::default()),
             Err(PersistError::BadMagic)
         ));
-        // A future version byte must be refused, not mis-read. Rebuild the
-        // header block with a bumped version and a fixed-up CRC.
-        let mut future = buf.clone();
-        future[8 + 5] = SNAPSHOT_VERSION as u8 + 1; // payload starts after magic + tag + len
-        let len = u32::from_le_bytes(future[9..13].try_into().unwrap()) as usize;
-        let crc = crc32(&future[8..8 + 5 + len]);
-        future[8 + 5 + len..8 + 5 + len + 4].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            TsdbStore::open_snapshot(&mut &future[..], StoreConfig::default()),
-            Err(PersistError::UnsupportedVersion(v)) if v == SNAPSHOT_VERSION + 1
-        ));
-        // And a pre-history version 0 likewise.
-        let mut ancient = buf.clone();
-        ancient[8 + 5] = 0;
-        let crc = crc32(&ancient[8..8 + 5 + len]);
-        ancient[8 + 5 + len..8 + 5 + len + 4].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            TsdbStore::open_snapshot(&mut &ancient[..], StoreConfig::default()),
-            Err(PersistError::UnsupportedVersion(0))
-        ));
+        // Every version but the current one must be refused, not mis-read:
+        // a future one, pre-history 0, and the retired 1 (minute rollups,
+        // no zone sections) and 2 (minute rollups). Rebuild the header
+        // block with the patched version and a fixed-up CRC.
+        assert_eq!(buf[8 + 5], SNAPSHOT_VERSION as u8); // payload starts after magic + tag + len
+        let len = u32::from_le_bytes(buf[9..13].try_into().unwrap()) as usize;
+        for version in [SNAPSHOT_VERSION + 1, 0, 1, 2] {
+            let mut patched = buf.clone();
+            patched[8 + 5] = version as u8;
+            let crc = crc32(&patched[8..8 + 5 + len]);
+            patched[8 + 5 + len..8 + 5 + len + 4].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(
+                    TsdbStore::open_snapshot(&mut &patched[..], StoreConfig::default()),
+                    Err(PersistError::UnsupportedVersion(v)) if v == version
+                ),
+                "version {version} accepted"
+            );
+        }
     }
 
     #[test]
@@ -813,35 +790,6 @@ mod tests {
         }
         assert_eq!(orig_agg.count, rec_agg.count);
         assert_eq!(orig_agg.sum.to_bits(), rec_agg.sum.to_bits());
-    }
-
-    #[test]
-    fn version_1_snapshots_stay_readable() {
-        // A v1 image (written before zone maps existed) must recover: same
-        // samples, zone-less chunks. The versioned writer reproduces the
-        // old byte layout exactly.
-        let store = sample_store();
-        store.compact();
-        let mut v1 = Vec::new();
-        store.snapshot_to_versioned(&mut v1, 1).unwrap();
-        let back = TsdbStore::open_snapshot(&mut &v1[..], StoreConfig::default()).unwrap();
-        assert_eq!(back.total_samples(), store.total_samples());
-        let id = store.lookup("facility").unwrap();
-        let rid = back.lookup("facility").unwrap();
-        let orig = store.with_series(id, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
-        let rec = back.with_series(rid, |s| s.scan(i64::MIN, i64::MAX)).unwrap();
-        assert_eq!(orig.len(), rec.len());
-        for ((t0, v0), (t1, v1)) in orig.iter().zip(&rec) {
-            assert_eq!(t0, t1);
-            assert_eq!(v0.to_bits(), v1.to_bits());
-        }
-        let zoneless = back
-            .with_series(rid, |s| s.chunks().iter().all(|c| c.zones().is_none()))
-            .unwrap();
-        assert!(zoneless, "v1 image cannot carry zones");
-        let mut v2 = Vec::new();
-        store.snapshot_to(&mut v2).unwrap();
-        assert!(v2.len() > v1.len(), "zone sections add bytes");
     }
 
     #[test]

@@ -55,8 +55,6 @@ pub enum AggOp {
 pub enum Plan {
     /// Served by composing 1-hour buckets.
     HourRollup,
-    /// Served by composing 1-minute buckets.
-    MinuteRollup,
     /// Served by decoding chunks (with whole-chunk aggregate shortcuts).
     RawScan,
 }
@@ -82,33 +80,18 @@ pub fn plan_aggregate(series: &Series, from: i64, to: i64, op: AggOp) -> Plan {
     }
     if series.hours().covers_aligned(from, to) {
         Plan::HourRollup
-    } else if series.minutes().covers_aligned(from, to) {
-        Plan::MinuteRollup
     } else {
         Plan::RawScan
     }
 }
 
-fn rollup_window(series: &Series, from: i64, to: i64, plan: Plan) -> Aggregate {
-    let level = match plan {
-        Plan::HourRollup => series.hours(),
-        Plan::MinuteRollup => series.minutes(),
-        Plan::RawScan => unreachable!("rollup_window called with a raw plan"),
-    };
+/// Compose the hour buckets (sealed and open) of an hour-aligned window.
+/// Every raw sample folds into the hour level as it arrives, so the open
+/// bucket already holds the latest sample.
+fn rollup_window(series: &Series, from: i64, to: i64) -> Aggregate {
     let mut agg = Aggregate::new();
-    for b in level.buckets_in(from, to) {
+    for b in series.hours().buckets_in(from, to) {
         agg.merge(&b.agg);
-    }
-    // The hour level receives minute buckets only when they seal, so the
-    // minute bucket still filling has not cascaded yet — complete the tail
-    // from it. (The minute level itself is fed per raw sample, so it is
-    // always complete.)
-    if plan == Plan::HourRollup {
-        if let Some(open) = series.minutes().open() {
-            if open.start < to && open.start + series.minutes().resolution() > from {
-                agg.merge(&open.agg);
-            }
-        }
     }
     agg
 }
@@ -143,13 +126,13 @@ fn percentile(mut values: Vec<f64>, p: f64) -> f64 {
 }
 
 /// Full-moment aggregate over `[from, to)` with rollup-aware planning:
-/// served from the coarsest aligned rollup level, falling back to a raw
-/// scan. This is the primitive `aggregate` and `aligned_windows` build on,
-/// and what `hpc-telemetry` windows map to.
+/// served from the hour rollup when the window is hour-aligned, falling
+/// back to a raw scan. This is the primitive `aggregate` and
+/// `aligned_windows` build on, and what `hpc-telemetry` windows map to.
 pub fn window_aggregate(series: &Series, from: i64, to: i64) -> Aggregate {
     match plan_aggregate(series, from, to, AggOp::Mean) {
         Plan::RawScan => series.scan_aggregate(from, to),
-        rollup => rollup_window(series, from, to, rollup),
+        Plan::HourRollup => rollup_window(series, from, to),
     }
 }
 
@@ -163,7 +146,7 @@ pub fn aggregate(series: &Series, from: i64, to: i64, op: AggOp) -> (f64, Plan) 
     } else {
         let agg = match plan {
             Plan::RawScan => series.scan_aggregate(from, to),
-            rollup => rollup_window(series, from, to, rollup),
+            Plan::HourRollup => rollup_window(series, from, to),
         };
         finish(op, &agg)
     };
@@ -233,7 +216,8 @@ pub struct QueryStats {
     pub queries: u64,
     /// Windows answered from 1-hour rollup buckets.
     pub plans_hour: u64,
-    /// Windows answered from 1-minute rollup buckets.
+    /// Always 0: the 1-minute rollup level is gone. Kept so readers of
+    /// this field (the `perfbench` harness) still compile.
     pub plans_minute: u64,
     /// Windows answered by raw chunk scans.
     pub plans_raw: u64,
@@ -279,7 +263,6 @@ impl QueryStats {
     pub fn merge(&mut self, other: &QueryStats) {
         self.queries = self.queries.saturating_add(other.queries);
         self.plans_hour = self.plans_hour.saturating_add(other.plans_hour);
-        self.plans_minute = self.plans_minute.saturating_add(other.plans_minute);
         self.plans_raw = self.plans_raw.saturating_add(other.plans_raw);
         self.chunks_decoded = self.chunks_decoded.saturating_add(other.chunks_decoded);
         self.chunk_cache_hits = self.chunk_cache_hits.saturating_add(other.chunk_cache_hits);
@@ -302,7 +285,7 @@ impl QueryStats {
         QueryStats {
             queries: self.queries.saturating_sub(earlier.queries),
             plans_hour: self.plans_hour.saturating_sub(earlier.plans_hour),
-            plans_minute: self.plans_minute.saturating_sub(earlier.plans_minute),
+            plans_minute: 0,
             plans_raw: self.plans_raw.saturating_sub(earlier.plans_raw),
             chunks_decoded: self.chunks_decoded.saturating_sub(earlier.chunks_decoded),
             chunk_cache_hits: self.chunk_cache_hits.saturating_sub(earlier.chunk_cache_hits),
@@ -320,7 +303,6 @@ impl QueryStats {
 pub(crate) struct QueryCounters {
     queries: AtomicU64,
     plans_hour: AtomicU64,
-    plans_minute: AtomicU64,
     plans_raw: AtomicU64,
     chunks_decoded: AtomicU64,
     chunk_cache_hits: AtomicU64,
@@ -338,7 +320,6 @@ impl QueryCounters {
     fn record_plan(&self, plan: Plan) {
         let c = match plan {
             Plan::HourRollup => &self.plans_hour,
-            Plan::MinuteRollup => &self.plans_minute,
             Plan::RawScan => &self.plans_raw,
         };
         c.fetch_add(1, Ordering::Relaxed);
@@ -369,7 +350,7 @@ impl QueryCounters {
         QueryStats {
             queries: self.queries.load(Ordering::Relaxed),
             plans_hour: self.plans_hour.load(Ordering::Relaxed),
-            plans_minute: self.plans_minute.load(Ordering::Relaxed),
+            plans_minute: 0,
             plans_raw: self.plans_raw.load(Ordering::Relaxed),
             chunks_decoded: self.chunks_decoded.load(Ordering::Relaxed),
             chunk_cache_hits: self.chunk_cache_hits.load(Ordering::Relaxed),
@@ -383,7 +364,6 @@ impl QueryCounters {
     pub(crate) fn reset(&self) {
         self.queries.store(0, Ordering::Relaxed);
         self.plans_hour.store(0, Ordering::Relaxed);
-        self.plans_minute.store(0, Ordering::Relaxed);
         self.plans_raw.store(0, Ordering::Relaxed);
         self.chunks_decoded.store(0, Ordering::Relaxed);
         self.chunk_cache_hits.store(0, Ordering::Relaxed);
@@ -474,16 +454,17 @@ fn snapshot_values(store: &TsdbStore, snap: &RawSnapshot, from: i64, to: i64) ->
 }
 
 /// What a store-level query captured under the shard read lock: either a
-/// finished rollup composition, or the raw materials for a lock-free scan.
+/// finished hour-rollup composition, or the raw materials for a lock-free
+/// scan.
 enum Prep {
-    Rollup(Aggregate, Plan),
+    Rollup(Aggregate),
     Raw(RawSnapshot),
 }
 
 fn prepare_aggregate(series: &Series, from: i64, to: i64, op: AggOp) -> Prep {
     match plan_aggregate(series, from, to, op) {
         Plan::RawScan => Prep::Raw(raw_snapshot(series, from, to)),
-        plan => Prep::Rollup(rollup_window(series, from, to, plan), plan),
+        Plan::HourRollup => Prep::Rollup(rollup_window(series, from, to)),
     }
 }
 
@@ -497,9 +478,9 @@ fn window_aggregate_inner(
     counters.record_query();
     let prep = store.with_series_read(id, |s| prepare_aggregate(s, from, to, AggOp::Mean))?;
     Some(match prep {
-        Prep::Rollup(agg, plan) => {
-            counters.record_plan(plan);
-            (agg, plan)
+        Prep::Rollup(agg) => {
+            counters.record_plan(Plan::HourRollup);
+            (agg, Plan::HourRollup)
         }
         Prep::Raw(snap) => {
             counters.record_plan(Plan::RawScan);
@@ -544,7 +525,7 @@ fn windows_inner(
     struct WindowPrep {
         start: i64,
         end: i64,
-        rollup: Option<(Aggregate, Plan)>,
+        rollup: Option<Aggregate>,
     }
     let (windows, snap) = store.with_series_read(id, |s| {
         let mut windows = Vec::new();
@@ -557,7 +538,7 @@ fn windows_inner(
                     need_raw = true;
                     None
                 }
-                plan => Some((rollup_window(s, start, end, plan), plan)),
+                Plan::HourRollup => Some(rollup_window(s, start, end)),
             };
             windows.push(WindowPrep { start, end, rollup });
             start = end;
@@ -568,8 +549,8 @@ fn windows_inner(
     let mut out = Vec::with_capacity(windows.len());
     for w in windows {
         let (value, count) = match w.rollup {
-            Some((agg, plan)) => {
-                counters.record_plan(plan);
+            Some(agg) => {
+                counters.record_plan(Plan::HourRollup);
                 (finish(op, &agg), agg.count)
             }
             None => {
@@ -823,12 +804,7 @@ pub fn estimate_scan(series: &Series, from: i64, to: i64, op: AggOp, allow_rollu
     let plan =
         if allow_rollup { plan_aggregate(series, from, to, op) } else { Plan::RawScan };
     match plan {
-        Plan::HourRollup => {
-            let buckets = series.hours().buckets_in(from, to).count() as u64;
-            // The open-minute patch-up adds at most one more bucket.
-            buckets.saturating_add(1)
-        }
-        Plan::MinuteRollup => series.minutes().buckets_in(from, to).count() as u64,
+        Plan::HourRollup => series.hours().buckets_in(from, to).count() as u64,
         Plan::RawScan => {
             let mut cost = 0u64;
             for chunk in series.chunks() {
@@ -882,7 +858,8 @@ mod tests {
         let s = series_with(3 * 24 * 60, |i| f64::from(i % 10)); // 3 days minutely
         assert_eq!(plan_aggregate(&s, 0, 86_400, AggOp::Mean), Plan::HourRollup);
         assert_eq!(plan_aggregate(&s, 3600, 7200, AggOp::Sum), Plan::HourRollup);
-        assert_eq!(plan_aggregate(&s, 60, 3660, AggOp::Mean), Plan::MinuteRollup);
+        // Minute-aligned but not hour-aligned: no rollup level serves it.
+        assert_eq!(plan_aggregate(&s, 60, 3660, AggOp::Mean), Plan::RawScan);
         assert_eq!(plan_aggregate(&s, 30, 3630, AggOp::Mean), Plan::RawScan);
         // Percentiles always need raw values.
         assert_eq!(plan_aggregate(&s, 0, 86_400, AggOp::P95), Plan::RawScan);
@@ -897,11 +874,13 @@ mod tests {
         assert_eq!(plan, Plan::HourRollup);
         let raw = s.scan_aggregate(from, to);
         assert!((hourly - raw.mean()).abs() < 1e-9, "rollup {hourly} vs raw {}", raw.mean());
-        let mut minutes = Aggregate::new();
-        for b in s.minutes().buckets_in(from, to) {
-            minutes.merge(&b.agg);
-        }
-        assert!((minutes.mean() - raw.mean()).abs() < 1e-9);
+        // A window one minute wider is not hour-aligned, so it plans a raw
+        // scan; it matches the hour buckets plus the extra minute.
+        let (wider, plan) = aggregate(&s, from - 60, to, AggOp::Mean);
+        assert_eq!(plan, Plan::RawScan);
+        let mut composed = s.scan_aggregate(from - 60, from);
+        composed.merge(&window_aggregate(&s, from, to));
+        assert!((wider - composed.mean()).abs() < 1e-9);
         // Min/max/sum/count too.
         assert_eq!(aggregate(&s, from, to, AggOp::Min).0, raw.min);
         assert_eq!(aggregate(&s, from, to, AggOp::Max).0, raw.max);
@@ -1219,9 +1198,9 @@ mod tests {
         let span = i64::from(CHUNK_TEST_LEN) * 60;
         store
             .with_series(id, |s| {
-                // Hour-aligned → bucket-count estimate, tiny.
+                // Hour-aligned → one per hour bucket.
                 let hours_est = estimate_scan(s, 0, 3600 * 4, AggOp::Mean, true);
-                assert!(hours_est <= 5, "rollup estimate {hours_est}");
+                assert_eq!(hours_est, 4, "rollup estimate {hours_est}");
                 // Same window with rollups forbidden → chunk-scale cost.
                 let raw_est = estimate_scan(s, 0, 3600 * 4, AggOp::Mean, false);
                 assert!(raw_est >= u64::from(crate::series::CHUNK_SAMPLES) / 2);

@@ -1,5 +1,4 @@
-//! Hierarchical downsampling: raw samples cascade into 1-minute buckets,
-//! sealed 1-minute buckets cascade into 1-hour buckets.
+//! Downsampling: every raw sample folds into the 1-hour bucket holding it.
 //!
 //! Every bucket carries `count / sum / min / max` plus Welford moments
 //! (`mean`, `m2`), so re-aggregating buckets over a window reproduces the
@@ -8,8 +7,6 @@
 
 use crate::log::Log;
 
-/// One-minute rollup resolution in seconds.
-pub const MINUTE: i64 = 60;
 /// One-hour rollup resolution in seconds.
 pub const HOUR: i64 = 3600;
 
@@ -154,33 +151,25 @@ impl RollupLevel {
         ts.div_euclid(self.resolution) * self.resolution
     }
 
-    /// Fold one raw sample in; returns the bucket sealed by this append,
-    /// if crossing a boundary closed one (callers cascade it upward).
-    pub fn push(&mut self, ts: i64, value: f64) -> Option<Bucket> {
-        self.fold(ts, {
-            let mut a = Aggregate::new();
-            a.push(value);
-            a
-        })
-    }
-
-    /// Fold a pre-aggregated child bucket in (used when cascading a sealed
-    /// finer bucket into a coarser level).
-    pub fn fold(&mut self, ts: i64, agg: Aggregate) -> Option<Bucket> {
+    /// Fold one raw sample in, sealing the open bucket when `ts` lies past
+    /// its window.
+    ///
+    /// # Panics
+    /// Panics if `ts` falls before the open bucket's window.
+    pub fn push(&mut self, ts: i64, value: f64) {
+        let mut agg = Aggregate::new();
+        agg.push(value);
         let start = self.bucket_start(ts);
-        let mut sealed = None;
         match &mut self.open {
             Some(b) if b.start == start => b.agg.merge(&agg),
             open => {
                 if let Some(b) = open.take() {
-                    assert!(b.start < start, "rollup fold went backwards");
+                    assert!(b.start < start, "rollup push went backwards");
                     self.sealed.push(b);
-                    sealed = Some(b);
                 }
                 *open = Some(Bucket { start, agg });
             }
         }
-        sealed
     }
 
     /// Buckets (sealed and open) intersecting `[from, to)`, in time order.
@@ -231,37 +220,33 @@ mod tests {
     }
 
     #[test]
-    fn minute_buckets_cascade_to_hours() {
-        let mut mins = RollupLevel::new(MINUTE);
+    fn samples_seal_hour_buckets() {
         let mut hours = RollupLevel::new(HOUR);
         // 3 hours of 10-second samples.
         for i in 0..(3 * 360) {
-            let ts = i64::from(i) * 10;
-            if let Some(done) = mins.push(ts, f64::from(i)) {
-                hours.fold(done.start, done.agg);
-            }
+            hours.push(i64::from(i) * 10, f64::from(i));
         }
-        assert_eq!(mins.sealed().len(), 179);
         assert_eq!(hours.sealed().len(), 2);
         let h0 = hours.sealed()[0];
         assert_eq!(h0.start, 0);
-        // First hour summarises samples 0..360 except those still open...
-        // minute 59 sealed when minute 60 opened, so hour 0 has 360 samples.
         assert_eq!(h0.agg.count, 360);
         assert!((h0.agg.mean() - 179.5).abs() < 1e-9);
+        // The open bucket already holds the latest sample.
+        let open = hours.open().unwrap();
+        assert_eq!((open.start, open.agg.count), (2 * HOUR, 360));
     }
 
     #[test]
     fn rollup_mean_reaggregates_not_mean_of_means() {
-        // Unequal bucket populations: 1 sample in minute 0, 59 in minute 1.
-        let mut mins = RollupLevel::new(MINUTE);
-        mins.push(0, 100.0);
+        // Unequal bucket populations: 1 sample in hour 0, 59 in hour 1.
+        let mut hours = RollupLevel::new(HOUR);
+        hours.push(0, 100.0);
         for i in 0..59 {
-            mins.push(60 + i, 0.0);
+            hours.push(HOUR + i * 60, 0.0);
         }
-        mins.push(120, 0.0); // seal minute 1
+        hours.push(2 * HOUR, 0.0); // seal hour 1
         let mut window = Aggregate::new();
-        for b in mins.buckets_in(0, 120) {
+        for b in hours.buckets_in(0, 2 * HOUR) {
             window.merge(&b.agg);
         }
         // Mean of means would give (100 + 0) / 2 = 50; the true mean is
@@ -272,24 +257,25 @@ mod tests {
 
     #[test]
     fn alignment_check() {
-        let l = RollupLevel::new(MINUTE);
+        let l = RollupLevel::new(HOUR);
         assert!(l.covers_aligned(0, 3600));
-        assert!(l.covers_aligned(120, 180));
-        assert!(!l.covers_aligned(30, 3600));
-        assert!(!l.covers_aligned(0, 90));
+        assert!(l.covers_aligned(7200, 18_000));
+        assert!(!l.covers_aligned(60, 3660));
+        assert!(!l.covers_aligned(0, 5400));
     }
 
     #[test]
     fn negative_timestamps_bucket_correctly() {
-        let mut l = RollupLevel::new(MINUTE);
-        l.push(-61, 1.0);
-        l.push(-60, 2.0);
+        let mut l = RollupLevel::new(HOUR);
+        l.push(-3601, 1.0);
+        l.push(-3600, 2.0);
         l.push(-1, 3.0);
         l.push(0, 4.0);
-        // -61 is in bucket [-120, -60); -60 and -1 in [-60, 0); 0 in [0, 60).
+        // -3601 is in bucket [-7200, -3600); -3600 and -1 in [-3600, 0);
+        // 0 in [0, 3600).
         assert_eq!(l.sealed().len(), 2);
-        assert_eq!(l.sealed()[0].start, -120);
-        assert_eq!(l.sealed()[1].start, -60);
+        assert_eq!(l.sealed()[0].start, -7200);
+        assert_eq!(l.sealed()[1].start, -3600);
         assert_eq!(l.sealed()[1].agg.count, 2);
     }
 }

@@ -1,15 +1,15 @@
 //! A single series: an append-only sequence of compressed chunks (sealed +
-//! one active) with a cascade of rollup levels maintained on ingest.
+//! one active) with a 1-hour rollup level maintained on ingest.
 
 use crate::chunk::{Chunk, ChunkBuilder, ColumnBlock, Zone};
 use crate::log::Log;
 use crate::quality::QuarantinedSample;
-use crate::rollup::{Aggregate, RollupLevel, HOUR, MINUTE};
+use crate::rollup::{Aggregate, RollupLevel, HOUR};
 use std::sync::Arc;
 
-/// Samples per chunk before sealing. 512 one-minute samples ≈ 8.5 hours
-/// per chunk, giving scans good locality while bounding the re-decode
-/// cost of the active chunk.
+/// Samples per chunk before sealing. At the campaigns' 15-minute cadence
+/// 512 samples ≈ 5.3 days per chunk, giving scans good locality while
+/// bounding the re-decode cost of the active chunk.
 pub const CHUNK_SAMPLES: u32 = 512;
 
 /// Immutable description of a series.
@@ -24,7 +24,8 @@ pub struct SeriesMeta {
     pub interval_hint: i64,
 }
 
-/// One time series: compressed storage plus raw → 1-min → 1-h rollups.
+/// One time series: compressed storage plus a 1-hour rollup fed by every
+/// raw sample.
 ///
 /// Sealed chunks, sealed rollup buckets and the quality mask are append-only
 /// [`Log`]s, so a clone (what [`crate::TsdbStore::publish_view`] freezes)
@@ -36,7 +37,6 @@ pub struct Series {
     meta: Arc<SeriesMeta>,
     sealed: Log<Chunk>,
     active: ChunkBuilder,
-    minutes: RollupLevel,
     hours: RollupLevel,
     total: Aggregate,
     chunk_samples: u32,
@@ -60,7 +60,6 @@ impl Series {
             meta: Arc::new(meta),
             sealed: Log::new(),
             active: ChunkBuilder::new(),
-            minutes: RollupLevel::new(MINUTE),
             hours: RollupLevel::new(HOUR),
             total: Aggregate::new(),
             chunk_samples: CHUNK_SAMPLES,
@@ -119,11 +118,6 @@ impl Series {
         &self.sealed
     }
 
-    /// The 1-minute rollup level.
-    pub fn minutes(&self) -> &RollupLevel {
-        &self.minutes
-    }
-
     /// The 1-hour rollup level.
     pub fn hours(&self) -> &RollupLevel {
         &self.hours
@@ -140,7 +134,7 @@ impl Series {
     /// the active tail as raw samples (re-encoded through the deterministic
     /// codec, so the rebuilt builder is bit-identical to the one that was
     /// snapshotted), and the rollup/total state as recorded — the tail
-    /// samples are **not** re-folded into rollups, because the persisted
+    /// samples are **not** re-folded into the rollup, because the persisted
     /// rollup state already includes them.
     ///
     /// Snapshot recovery verifies a CRC over the serialised bytes before
@@ -152,7 +146,6 @@ impl Series {
         meta: SeriesMeta,
         sealed: Vec<Chunk>,
         active_tail: &[(i64, f64)],
-        minutes: RollupLevel,
         hours: RollupLevel,
         total: Aggregate,
     ) -> Self {
@@ -164,7 +157,6 @@ impl Series {
             meta: Arc::new(meta),
             sealed: sealed.into(),
             active,
-            minutes,
             hours,
             total,
             chunk_samples: CHUNK_SAMPLES,
@@ -213,9 +205,7 @@ impl Series {
         }
         self.active.push(ts, value);
         self.total.push(value);
-        if let Some(done) = self.minutes.push(ts, value) {
-            self.hours.fold(done.start, done.agg);
-        }
+        self.hours.push(ts, value);
     }
 
     /// Decode all samples with `from <= ts < to`, in time order.
@@ -571,22 +561,20 @@ mod tests {
             // Two days of minutely data.
             s.append(i64::from(i) * 60, f64::from(i % 977) * 1.5);
         }
-        // Hour 5 via rollups vs raw.
-        let from = 5 * 3600;
-        let to = 6 * 3600;
-        let raw = s.scan_aggregate(from, to);
-        let mut rolled = Aggregate::new();
-        for b in s.minutes().buckets_in(from, to) {
-            rolled.merge(&b.agg);
+        // A sealed hour (hour 5) and the open last hour, via the rollup vs
+        // raw: every sample reaches the hour level as it arrives.
+        for (from, to) in [(5 * 3600, 6 * 3600), (47 * 3600, 48 * 3600)] {
+            let raw = s.scan_aggregate(from, to);
+            let mut hourly = Aggregate::new();
+            for b in s.hours().buckets_in(from, to) {
+                hourly.merge(&b.agg);
+            }
+            assert_eq!(hourly.count, raw.count);
+            assert_eq!(hourly.count, 60);
+            assert!((hourly.mean() - raw.mean()).abs() < 1e-9);
+            assert!((hourly.variance() - raw.variance()).abs() < 1e-6);
         }
-        assert_eq!(rolled.count, raw.count);
-        assert!((rolled.mean() - raw.mean()).abs() < 1e-9);
-        assert!((rolled.variance() - raw.variance()).abs() < 1e-6);
-        let mut hourly = Aggregate::new();
-        for b in s.hours().buckets_in(from, to) {
-            hourly.merge(&b.agg);
-        }
-        assert_eq!(hourly.count, raw.count);
-        assert!((hourly.mean() - raw.mean()).abs() < 1e-9);
+        assert_eq!(s.hours().sealed().len(), 47);
+        assert_eq!(s.hours().open().map(|b| b.start), Some(47 * 3600));
     }
 }

@@ -1023,8 +1023,8 @@ mod tests {
         let store = TsdbStore::default();
         let id = store.register(meta("node.0"));
         // Enough minutely samples for two blocks of sealed chunks (and so
-        // many blocks of minute and hour buckets), plus several blocks of
-        // quarantined samples.
+        // many blocks of hour buckets), plus several blocks of quarantined
+        // samples.
         let n = 2 * BLOCK_LEN as i64 * i64::from(crate::series::CHUNK_SAMPLES) + 100;
         let samples: Vec<(i64, f64)> = (0..n).map(|i| (i * 60, (i % 97) as f64)).collect();
         store.append_batch(id, &samples);
@@ -1037,7 +1037,6 @@ mod tests {
         let (a, b) = (v1.get(id).unwrap(), v2.get(id).unwrap());
         assert!(!Arc::ptr_eq(a, b), "the appended tick must republish the series");
         assert_shares_blocks("chunks", a.chunks(), b.chunks());
-        assert_shares_blocks("minutes", a.minutes().sealed(), b.minutes().sealed());
         assert_shares_blocks("hours", a.hours().sealed(), b.hours().sealed());
         assert_shares_blocks("quarantined", a.quarantined(), b.quarantined());
         // The live series shares the same blocks too, and the retired view

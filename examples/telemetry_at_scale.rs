@@ -192,11 +192,16 @@ fn main() {
         campaign.cabinet_series_ids().len(),
         campaign.node_series_ids().len(),
     );
+    // Chunks alone understate what the store holds: a snapshot also
+    // carries rollup buckets, zone maps and the active tails.
+    let cimage = cstore.snapshot_to(&mut std::io::sink()).expect("snapshot campaign store");
     println!(
-        "store footprint:   {:.1} KiB for {} samples ({:.2} bytes/sample)",
+        "store footprint:   {:.1} KiB for {} samples ({:.2} bytes/sample in chunks, \
+         {:.2} bytes/sample as a snapshot)",
         cstore.total_bytes() as f64 / 1024.0,
         cstore.total_samples(),
         cstore.total_bytes() as f64 / cstore.total_samples() as f64,
+        cimage.bytes as f64 / cimage.samples as f64,
     );
     // Readbacks through the cached fan-out engine: facility mean and the
     // grouped all-cabinets reduction.
@@ -214,11 +219,10 @@ fn main() {
     assert!((group.sum_of_means - week_mean).abs() / week_mean < 0.05);
     let qs = campaign.query_stats();
     println!(
-        "campaign query stats: {} queries (plans: {} hour / {} minute / {} raw), \
+        "campaign query stats: {} queries (plans: {} hour / {} raw), \
          {} chunks decoded, {} cache hits, {} samples scanned, {:.2} ms",
         qs.queries,
         qs.plans_hour,
-        qs.plans_minute,
         qs.plans_raw,
         qs.chunks_decoded,
         qs.chunk_cache_hits,
@@ -359,6 +363,10 @@ fn persist_benchmark(store: &TsdbStore, ids: &[SeriesId], campaign: &Campaign, s
             ("snapshot_series".into(), sstats.series.to_value()),
             ("snapshot_samples".into(), sstats.samples.to_value()),
             ("snapshot_bytes".into(), sstats.bytes.to_value()),
+            (
+                "snapshot_bytes_per_sample".into(),
+                (sstats.bytes as f64 / sstats.samples as f64).to_value(),
+            ),
             ("snapshot_write_ms".into(), snapshot_write_ms.to_value()),
             ("snapshot_read_ms".into(), snapshot_read_ms.to_value()),
             ("wal_records".into(), wal_records.to_value()),
@@ -370,7 +378,13 @@ fn persist_benchmark(store: &TsdbStore, ids: &[SeriesId], campaign: &Campaign, s
             ("campaign_resume_ms".into(), resume_ms.to_value()),
             ("campaign_samples".into(), cstats.samples.to_value()),
         ]),
-        &["snapshot_write_ms", "snapshot_read_ms", "snapshot_bytes", "wal_replay_ms"],
+        &[
+            "snapshot_write_ms",
+            "snapshot_read_ms",
+            "snapshot_bytes",
+            "snapshot_bytes_per_sample",
+            "wal_replay_ms",
+        ],
     );
 
     let _ = std::fs::remove_dir_all(&dir);

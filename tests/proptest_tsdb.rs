@@ -1,5 +1,5 @@
-//! Property-based tests for the `hpc-tsdb` compression codec and rollup
-//! cascade: the Gorilla round trip must be bit-exact for *every* `f64`
+//! Property-based tests for the `hpc-tsdb` compression codec and hour
+//! rollup: the Gorilla round trip must be bit-exact for *every* `f64`
 //! pattern (NaN payloads, signed zeros, subnormals, infinities) at any
 //! timestamp spacing, and rollup-planned aggregates must agree with raw
 //! chunk scans on any aligned window. Published read views must answer
@@ -98,19 +98,22 @@ proptest! {
         vals in proptest::collection::vec(-5000.0f64..5000.0, 10..2000),
         a in 0usize..2000,
         b in 0usize..2000,
+        cadence in prop_oneof![Just(60i64), Just(900i64)],
     ) {
-        // Minutely cadence so both rollup levels fill.
+        // Minutely cadence (60 samples per hour bucket) or the campaigns'
+        // 15-minute cadence (4 per bucket).
         let mut s = Series::new(meta());
         for (i, &v) in vals.iter().enumerate() {
-            s.append(i as i64 * 60, v);
+            s.append(i as i64 * cadence, v);
         }
         // Snap an arbitrary index window to hour alignment: the planner
-        // must serve it from rollups, and the answer must match the raw
-        // chunk scan moment for moment.
-        let span = vals.len() as i64 * 60;
-        let from = (a as i64 * 60).min(span) / 3600 * 3600;
-        let to = (b as i64 * 60).min(span) / 3600 * 3600;
+        // must serve it from the hour rollup, and the answer must match the
+        // raw chunk scan moment for moment.
+        let span = vals.len() as i64 * cadence;
+        let from = (a as i64 * cadence).min(span) / 3600 * 3600;
+        let to = (b as i64 * cadence).min(span) / 3600 * 3600;
         let (from, to) = (from.min(to), from.max(to));
+        prop_assert_eq!(aggregate(&s, from, to, AggOp::Mean).1, Plan::HourRollup);
         let planned = window_aggregate(&s, from, to);
         let raw = s.scan_aggregate(from, to);
         prop_assert_eq!(planned.count, raw.count);
@@ -127,19 +130,20 @@ proptest! {
     fn rollup_plans_agree_on_ragged_tail_windows(
         vals in proptest::collection::vec(-5000.0f64..5000.0, 10..2000),
         from_units in 0i64..30,
+        cadence in prop_oneof![Just(60i64), Just(900i64)],
     ) {
         // The planner's sore spot: a grid-aligned `to` rounded UP past the
         // last sample, so the final rollup bucket in range is the one still
-        // filling. The hour level only receives minute buckets when they
-        // seal, so this exercises the open-minute patch-up.
+        // filling. It must already hold the latest sample.
         let mut s = Series::new(meta());
         for (i, &v) in vals.iter().enumerate() {
-            s.append(i as i64 * 60, v);
+            s.append(i as i64 * cadence, v);
         }
-        let span = vals.len() as i64 * 60;
-        for unit in [3600i64, 60] {
+        let span = vals.len() as i64 * cadence;
+        for unit in [3600i64, 86_400] {
             let to = (span + unit - 1) / unit * unit; // ≥ span: past the tail
             let from = (from_units * unit).min(to);
+            prop_assert_eq!(aggregate(&s, from, to, AggOp::Mean).1, Plan::HourRollup);
             let planned = window_aggregate(&s, from, to);
             let raw = s.scan_aggregate(from, to);
             prop_assert_eq!(planned.count, raw.count, "unit {}s: count", unit);
